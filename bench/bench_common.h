@@ -20,6 +20,8 @@
 #ifndef SAC_BENCH_BENCH_COMMON_H_
 #define SAC_BENCH_BENCH_COMMON_H_
 
+#include <sched.h>
+
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -49,8 +51,15 @@ inline std::string Scale() {
 /// sac_prof diff only hard-gates wall-clock against a baseline taken on
 /// the same machine shape (counters are shape-independent and always
 /// gate). Containerized runners resize CPU allocations between runs, and
-/// a 4-executor simulated cluster on 1 CPU times nothing like on 8.
+/// a 4-executor simulated cluster on 1 CPU times nothing like on 8. Read
+/// from the calling thread's affinity mask, so `taskset -c 0` reports 1;
+/// hardware_concurrency() only when the mask is unavailable.
 inline int HostCpus() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0 && CPU_COUNT(&set) > 0) {
+    return CPU_COUNT(&set);
+  }
   const unsigned n = std::thread::hardware_concurrency();
   return n == 0 ? 1 : static_cast<int>(n);
 }

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <iomanip>
 #include <sstream>
+#include <unordered_set>
 
 namespace sac::analysis {
 
@@ -65,6 +66,9 @@ PlanGraph SynthesizeReduceByKeyPlan(const std::string& src_a,
                                    {partials}, 2);
   PlanNodePtr root = pb.Narrow(PlanNode::Op::kMap, "finalize", reduced, 2,
                                /*preserves_partitioning=*/true);
+  // Pipelined as the planner's 5.3 closure runs them.
+  ka->fusion = kb->fusion = PlanNode::Fusion::kPre;
+  partials->fusion = root->fusion = PlanNode::Fusion::kPost;
   PlanGraph out = g;
   out.root = root;
   out.nodes = pb.TakeNodes();
@@ -84,6 +88,9 @@ PlanGraph SynthesizeGroupByJoinPlan(const std::string& src_a,
       pb.Shuffle(PlanNode::Op::kCoGroup, "cogroupPanels", {ra, rb}, 2);
   PlanNodePtr root = pb.Narrow(PlanNode::Op::kFlatMap, "summaMultiply", cg, 2,
                                /*preserves_partitioning=*/true);
+  // Pipelined as the planner's 5.4 closure runs them.
+  ra->fusion = rb->fusion = PlanNode::Fusion::kPre;
+  root->fusion = PlanNode::Fusion::kPost;
   PlanGraph out = g;
   out.root = root;
   out.nodes = pb.TakeNodes();
@@ -131,6 +138,8 @@ const char* EngineShuffleLabel(const planner::PlanNode::Op op) {
 
 CostEstimate EstimateCost(const PlanGraph& g, const CostModel& model) {
   const ShapeMap shapes = InferShapes(g);
+  const std::unordered_set<const PlanNode*> transient =
+      planner::TransientNodes(g.nodes);
   const int executors = g.num_executors > 0 ? g.num_executors : 4;
   CostEstimate est;
   est.exact = !g.nodes.empty();
@@ -143,9 +152,12 @@ CostEstimate EstimateCost(const PlanGraph& g, const CostModel& model) {
     const SymbolicShape& s = item.shape;
     if (!s.known) est.exact = false;
     NodeCost& c = item.cost;
-    c.output_bytes = s.known ? s.total_bytes() : 0;
+    c.output_bytes =
+        s.known && transient.count(node.get()) == 0 ? s.total_bytes() : 0;
     c.flops = s.flops;
-    if (IsNarrow(n.op) && !n.inputs.empty()) {
+    // A pipelined narrow node runs inside its shuffle's tasks.
+    if (IsNarrow(n.op) && !n.inputs.empty() &&
+        n.fusion == PlanNode::Fusion::kNone) {
       const auto iit = shapes.find(n.inputs[0].get());
       c.tasks = iit != shapes.end() ? iit->second.num_partitions : 0;
     } else if (n.is_shuffle()) {

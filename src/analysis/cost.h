@@ -64,8 +64,10 @@ struct CostEstimate {
   };
   std::vector<Item> items;  // creation order, one per plan node
   NodeCost totals;
-  /// Sum of every node's materialized output (the engine evaluates
-  /// eagerly), the figure SAC-W06 compares against the memory budget.
+  /// Sum of every node's materialized output: sources, shuffle outputs
+  /// and unfused narrow outputs (the engine evaluates eagerly; the rows
+  /// of pipelined steps and the raw output of a shuffle followed by one
+  /// are never materialized, see planner::TransientNodes).
   double resident_bytes = 0;
   double est_ms = 0;
   /// Predicted total shuffle bytes keyed by the ENGINE stage label the

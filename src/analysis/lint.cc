@@ -310,13 +310,16 @@ class ResidentSetOverBudgetRule : public LintRule {
   }
   void Run(const PlanGraph& g, std::vector<Diagnostic>* out) const override {
     if (g.memory_budget_bytes == 0 || g.binds == nullptr) return;
-    // The engine evaluates eagerly, so every plan node's output is
-    // materialized at some point; the sum of per-node footprints is a
-    // (crude, dense) estimate of the run's resident set. Sources are
-    // sized from their bound shapes; a transformation's output is
-    // approximated by the largest of its inputs (element-wise ops
-    // preserve footprint; reductions shrink it, so this over-estimates
-    // conservatively on the warning side).
+    // The engine materializes sources, shuffle outputs and unfused
+    // narrow outputs; steps pipelined into a shuffle's tasks (and the raw
+    // shuffle output a post step consumes) never are. The sum of the
+    // materialized footprints is a (crude, dense) estimate of the run's
+    // resident set. Sources are sized from their bound shapes; a
+    // transformation's output is approximated by the largest of its
+    // inputs (element-wise ops preserve footprint; reductions shrink it,
+    // so this over-estimates conservatively on the warning side).
+    const std::unordered_set<const PlanNode*> transient =
+        planner::TransientNodes(g.nodes);
     std::unordered_map<const PlanNode*, uint64_t> size;
     uint64_t total = 0;
     bool has_cut = false;
@@ -332,7 +335,7 @@ class ResidentSetOverBudgetRule : public LintRule {
         if (n->cached) has_cut = true;
       }
       size[n.get()] = bytes;
-      total += bytes;
+      if (transient.count(n.get()) == 0) total += bytes;
     }
     if (total <= g.memory_budget_bytes || has_cut) return;
     // Materiality: a budget overshoot smaller than the threshold causes

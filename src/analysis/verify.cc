@@ -125,7 +125,24 @@ Status VerifyPlan(const PlanGraph& g) {
     }
     for (const PlanNodePtr& in : n->inputs) {
       if (in == nullptr) return Violation(*n, "null input");
+      // A pipelined pre step's rows only exist inside a shuffle-write
+      // task (runtime::Pipeline), so only a shuffle can consume them.
+      if (in->fusion == PlanNode::Fusion::kPre && !n->is_shuffle()) {
+        return Violation(*n, "consumes pipelined pre step " + NodeDesc(*in) +
+                                 " without being a shuffle");
+      }
       stack.push_back(in.get());
+    }
+    if (n->fusion != PlanNode::Fusion::kNone && !IsNarrow(n->op)) {
+      return Violation(*n, "pipelined into a shuffle but not narrow");
+    }
+    if (n->fusion == PlanNode::Fusion::kPre && n == g.root.get()) {
+      return Violation(*n, "pipelined pre step is the plan's result");
+    }
+    if (n->fusion == PlanNode::Fusion::kPost &&
+        !(n->inputs[0]->is_shuffle() ||
+          n->inputs[0]->fusion == PlanNode::Fusion::kPost)) {
+      return Violation(*n, "pipelined post step does not follow a shuffle");
     }
 
     if (n->op == PlanNode::Op::kSource && n->source.empty()) {

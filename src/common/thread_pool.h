@@ -20,6 +20,7 @@
 #include <deque>
 #include <functional>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -89,16 +90,29 @@ class ThreadPool {
   static ThreadPool& Default();
 
  private:
+  /// Completion latch of one ParallelFor call, guarded by mu_.
+  struct Latch {
+    size_t pending = 0;
+    std::condition_variable cv;
+  };
+  /// A queued task. A ParallelFor chunk carries its call's latch, which
+  /// the worker releases only after retiring the task from active_, so
+  /// in_flight() no longer counts the chunks once ParallelFor returns.
+  struct Task {
+    std::function<void()> fn;
+    std::shared_ptr<Latch> latch;
+  };
+
   void WorkerLoop();
   /// Picks the next task round-robin across non-empty queues. Caller
   /// holds mu_ and has checked queued_ > 0.
-  std::function<void()> PopLocked();
+  Task PopLocked();
 
   std::vector<std::thread> workers_;
   // Queue 0 (default) is created in the constructor and never erased;
   // session queues come and go via OpenQueue/CloseQueue. std::map keeps
   // ids ordered so the round-robin cursor can wrap deterministically.
-  std::map<QueueId, std::deque<std::function<void()>>> queues_;
+  std::map<QueueId, std::deque<Task>> queues_;
   QueueId next_queue_id_ = 1;
   QueueId rr_next_ = 0;  // round-robin cursor: next queue id to serve
   size_t queued_ = 0;    // total tasks across all queues

@@ -40,10 +40,24 @@ std::string PlanNode::ToString() const {
   }
   os << " part=" << partitioning.ToString() << " key=" << key_arity;
   if (preserves_partitioning) os << " preserves";
+  if (fusion == Fusion::kPre) os << " pipelined-into-shuffle";
+  if (fusion == Fusion::kPost) os << " pipelined-after-shuffle";
   if (folds_group) os << " folds-group";
   if (cached) os << " cached";
   if (in_loop) os << " in-loop";
   return os.str();
+}
+
+std::unordered_set<const PlanNode*> TransientNodes(
+    const std::vector<PlanNodePtr>& nodes) {
+  std::unordered_set<const PlanNode*> out;
+  for (const PlanNodePtr& n : nodes) {
+    if (n->fusion == PlanNode::Fusion::kPre) out.insert(n.get());
+    if (n->fusion == PlanNode::Fusion::kPost && !n->inputs.empty()) {
+      out.insert(n->inputs[0].get());
+    }
+  }
+  return out;
 }
 
 namespace {

@@ -8,6 +8,7 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -191,12 +192,21 @@ struct PlanNode {
   int key_arity = 0;
   /// Narrow op leaves row keys (and hence co-partitioning) intact.
   bool preserves_partitioning = false;
+  /// Whether the run closure pipelines this narrow node into an adjacent
+  /// shuffle's tasks (runtime::Pipeline) instead of running it as a
+  /// stage of its own. kPre: inside the map-side tasks of the shuffle it
+  /// feeds; its output is never materialized. kPost: inside the reduce
+  /// tasks of the shuffle it follows (directly or through other kPost
+  /// nodes); its input is never materialized, and the last node of the
+  /// chain is the shuffle stage's output. Fused nodes run no tasks.
+  enum class Fusion { kNone, kPre, kPost };
+  Fusion fusion = Fusion::kNone;
   /// This node folds each group of its groupByKey/cogroup input with an
   /// associative combine -- the signature SAC-W01 looks for.
   bool folds_group = false;
   /// Output is materialized and reusable without recompute (sources are;
-  /// the engine evaluates eagerly, so its intermediates are too, but a
-  /// re-planned loop body rebuilds them every iteration).
+  /// the engine evaluates eagerly, so its unfused intermediates are too,
+  /// but a re-planned loop body rebuilds them every iteration).
   bool cached = false;
   /// Node is compiled inside an iterative-loop body (DIABLO front end).
   bool in_loop = false;
@@ -213,6 +223,12 @@ struct PlanNode {
 };
 
 const char* PlanOpName(PlanNode::Op op);
+
+/// The nodes among `nodes` whose output the runtime never materializes:
+/// kPre-fused nodes, and the input of every kPost-fused node (a shuffle's
+/// raw output or an inner step of a post chain).
+std::unordered_set<const PlanNode*> TransientNodes(
+    const std::vector<PlanNodePtr>& nodes);
 
 /// Indented tree rendering of the DAG rooted at `root` (shared nodes are
 /// printed once and referenced by label afterwards).

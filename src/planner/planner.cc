@@ -294,85 +294,79 @@ Result<CompiledQuery> TryTilingPreserving(const QueryShape& shape,
       PlanBuilder pb(shape.pos);
       PlanNodePtr sa = pb.Source(shape.gens[0].source, 2, shape.gens[0].pos);
       PlanNodePtr sb = pb.Source(shape.gens[1].source, 2, shape.gens[1].pos);
-      PlanNodePtr ka =
-          pb.Narrow(PlanNode::Op::kMap, "keyTiles", sa, 2);
-      PlanNodePtr kb =
-          pb.Narrow(PlanNode::Op::kMap, "keyTiles", sb, 2);
+      PlanNodePtr ka = pb.Narrow(PlanNode::Op::kMap, "keyTiles", sa, 2);
+      PlanNodePtr kb = pb.Narrow(PlanNode::Op::kMap, "keyTiles", sb, 2);
       PlanNodePtr joined =
           pb.Shuffle(PlanNode::Op::kJoin, "join", {ka, kb}, 2);
       q.plan = pb.Narrow(PlanNode::Op::kMap, "zipTiles", joined, 2,
                          /*preserves_partitioning=*/true);
+      ka->fusion = kb->fusion = PlanNode::Fusion::kPre;
+      q.plan->fusion = PlanNode::Fusion::kPost;
       q.plan_nodes = pb.TakeNodes();
     }
     q.run = [=](Engine* eng) -> Result<QueryResult> {
-      auto key_by = [&](const TiledMatrix& m,
-                        const std::array<size_t, 2>& mp) {
-        return eng->Map(
-            m.tiles,
-            [mp](const Value& row) {
-              const ValueVec& c = row.At(0).AsTuple();
-              return VPair(runtime::VTuple({c[mp[0]], c[mp[1]]}), row.At(1));
-            },
-            "keyTiles");
+      auto key_by = [](const std::array<size_t, 2>& mp) {
+        return runtime::MapRows([mp](const Value& row) {
+          const ValueVec& c = row.At(0).AsTuple();
+          return VPair(runtime::VTuple({c[mp[0]], c[mp[1]]}), row.At(1));
+        });
       };
-      SAC_ASSIGN_OR_RETURN(Dataset ka, key_by(A, ma));
-      SAC_ASSIGN_OR_RETURN(Dataset kb, key_by(B, mb));
-      SAC_ASSIGN_OR_RETURN(Dataset joined, eng->Join(ka, kb));
       const bool ta_swap = (ma[0] == 1);
       const bool tb_swap = (mb[0] == 1);
       const la::KernelBackend* kbk = RunBackend(eng, jvmlike);
+      const runtime::PartitionFn zip_tiles =
+          runtime::MapRows([=](const Value& row) {
+            la::Tile a = row.At(1).At(0).AsTile();
+            la::Tile b = row.At(1).At(1).AsTile();
+            Metrics* mets = &eng->metrics();
+            la::Tile v;
+            const bool patterned =
+                pat.kind != ZipPattern::Kind::kGeneric;
+            auto zip_fn = [&f](double x, double y) {
+              const double args[2] = {x, y};
+              return f(args);
+            };
+            if (fuse && !jvmlike && (ta_swap || tb_swap)) {
+              // Fused pipeline: the transposed reads fold into the
+              // zip pass -- no transposed temporaries. jvmlike keeps
+              // the two-pass form (MLlib materializes intermediates).
+              if (patterned) {
+                la::FusedZip(ToZipOp(pat), pat.alpha, pat.beta, a,
+                             ta_swap, b, tb_swap, &v);
+              } else {
+                la::FusedZipFn(zip_fn, a, ta_swap, b, tb_swap, &v);
+              }
+              mets->AddTileAllocs(1);
+            } else {
+              if (ta_swap) {
+                la::Tile t;
+                kbk->Transpose(a, &t);
+                a = std::move(t);
+                mets->AddTileAllocs(1);
+              }
+              if (tb_swap) {
+                la::Tile t;
+                kbk->Transpose(b, &t);
+                b = std::move(t);
+                mets->AddTileAllocs(1);
+              }
+              if (patterned) {
+                RunZipPattern(kbk, pat, a, b, &v);
+              } else {
+                la::ZipElements(a, b, zip_fn, &v);
+              }
+              mets->AddTileAllocs(1);
+            }
+            la::MeterFlops(mets, kbk->kind(),
+                           static_cast<uint64_t>(v.size()) *
+                               pat.flops_per_element);
+            return VPair(row.At(0), Value::TileVal(std::move(v)));
+          });
+      // keyTiles and zipTiles run inside the join's tasks.
       SAC_ASSIGN_OR_RETURN(
           Dataset out,
-          eng->Map(
-              joined,
-              [=](const Value& row) {
-                la::Tile a = row.At(1).At(0).AsTile();
-                la::Tile b = row.At(1).At(1).AsTile();
-                Metrics* mets = &eng->metrics();
-                la::Tile v;
-                const bool patterned =
-                    pat.kind != ZipPattern::Kind::kGeneric;
-                auto zip_fn = [&f](double x, double y) {
-                  const double args[2] = {x, y};
-                  return f(args);
-                };
-                if (fuse && !jvmlike && (ta_swap || tb_swap)) {
-                  // Fused pipeline: the transposed reads fold into the
-                  // zip pass -- no transposed temporaries. jvmlike keeps
-                  // the two-pass form (MLlib materializes intermediates).
-                  if (patterned) {
-                    la::FusedZip(ToZipOp(pat), pat.alpha, pat.beta, a,
-                                 ta_swap, b, tb_swap, &v);
-                  } else {
-                    la::FusedZipFn(zip_fn, a, ta_swap, b, tb_swap, &v);
-                  }
-                  mets->AddTileAllocs(1);
-                } else {
-                  if (ta_swap) {
-                    la::Tile t;
-                    kbk->Transpose(a, &t);
-                    a = std::move(t);
-                    mets->AddTileAllocs(1);
-                  }
-                  if (tb_swap) {
-                    la::Tile t;
-                    kbk->Transpose(b, &t);
-                    b = std::move(t);
-                    mets->AddTileAllocs(1);
-                  }
-                  if (patterned) {
-                    RunZipPattern(kbk, pat, a, b, &v);
-                  } else {
-                    la::ZipElements(a, b, zip_fn, &v);
-                  }
-                  mets->AddTileAllocs(1);
-                }
-                la::MeterFlops(mets, kbk->kind(),
-                               static_cast<uint64_t>(v.size()) *
-                                   pat.flops_per_element);
-                return VPair(row.At(0), Value::TileVal(std::move(v)));
-              },
-              "zipTiles"));
+          eng->Join(A.tiles, B.tiles, -1,
+                    {{key_by(ma), key_by(mb)}, zip_tiles}));
       QueryResult r;
       r.kind = QueryResult::Kind::kTiled;
       r.tiled = TiledMatrix{dims.rows, dims.cols, block, out};
@@ -643,37 +637,37 @@ Result<CompiledQuery> TryTilingPreserving(const QueryShape& shape,
             pb.Shuffle(PlanNode::Op::kJoin, "join", {sa, sb}, 1);
         q.plan = pb.Narrow(PlanNode::Op::kMap, "zipBlocks", joined, 1,
                            /*preserves_partitioning=*/true);
+        q.plan->fusion = PlanNode::Fusion::kPost;
         q.plan_nodes = pb.TakeNodes();
       }
       q.run = [=](Engine* eng) -> Result<QueryResult> {
         const la::KernelBackend* kbk = RunBackend(eng, jvmlike);
-        SAC_ASSIGN_OR_RETURN(Dataset joined, eng->Join(Va.blocks, Vb.blocks));
-        SAC_ASSIGN_OR_RETURN(
-            Dataset out,
-            eng->Map(
-                joined,
-                [=](const Value& row) {
-                  Metrics* mets = &eng->metrics();
-                  la::Tile v;
-                  if (pat.kind != ZipPattern::Kind::kGeneric) {
-                    RunZipPattern(kbk, pat, row.At(1).At(0).AsTile(),
-                                  row.At(1).At(1).AsTile(), &v);
-                  } else {
-                    la::ZipElements(
-                        row.At(1).At(0).AsTile(), row.At(1).At(1).AsTile(),
-                        [&f](double x, double y) {
-                          const double args[2] = {x, y};
-                          return f(args);
-                        },
-                        &v);
-                  }
-                  mets->AddTileAllocs(1);
-                  la::MeterFlops(mets, kbk->kind(),
-                                 static_cast<uint64_t>(v.size()) *
-                                     pat.flops_per_element);
-                  return VPair(row.At(0), Value::TileVal(std::move(v)));
-                },
-                "zipBlocks"));
+        const runtime::PartitionFn zip_blocks =
+            runtime::MapRows([=](const Value& row) {
+              Metrics* mets = &eng->metrics();
+              la::Tile v;
+              if (pat.kind != ZipPattern::Kind::kGeneric) {
+                RunZipPattern(kbk, pat, row.At(1).At(0).AsTile(),
+                              row.At(1).At(1).AsTile(), &v);
+              } else {
+                la::ZipElements(
+                    row.At(1).At(0).AsTile(), row.At(1).At(1).AsTile(),
+                    [&f](double x, double y) {
+                      const double args[2] = {x, y};
+                      return f(args);
+                    },
+                    &v);
+              }
+              mets->AddTileAllocs(1);
+              la::MeterFlops(mets, kbk->kind(),
+                             static_cast<uint64_t>(v.size()) *
+                                 pat.flops_per_element);
+              return VPair(row.At(0), Value::TileVal(std::move(v)));
+            });
+        // zipBlocks runs inside the join's reduce tasks.
+        SAC_ASSIGN_OR_RETURN(Dataset out,
+                             eng->Join(Va.blocks, Vb.blocks, -1,
+                                       {{}, zip_blocks}));
         QueryResult r;
         r.kind = QueryResult::Kind::kBlockVector;
         r.vec = storage::BlockVector{dims.rows, block, out};

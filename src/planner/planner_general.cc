@@ -117,88 +117,85 @@ Result<CompiledQuery> TryReplication(const QueryShape& shape,
     // associative fold, so SAC-W01 must not suggest reduceByKey here.
     q.plan = pb.Narrow(PlanNode::Op::kMap, "assembleShiftedTiles", grouped, 2,
                        /*preserves_partitioning=*/true);
+    rep->fusion = PlanNode::Fusion::kPre;
+    q.plan->fusion = PlanNode::Fusion::kPost;
     q.plan_nodes = pb.TakeNodes();
   }
   q.run = [=](Engine* eng) -> Result<QueryResult> {
     // Map side: compute each tile's destination set I_f(K) by evaluating
     // the index functions over the tile's elements (the paper's set
     // comprehension), then replicate the tile to those destinations.
-    SAC_ASSIGN_OR_RETURN(
-        Dataset replicated,
-        eng->FlatMap(
-            A.tiles,
-            [=](const Value& row, ValueVec* out) {
-              const int64_t bi = row.At(0).At(0).AsInt();
-              const int64_t bj = row.At(0).At(1).AsInt();
-              const la::Tile& t = row.At(1).AsTile();
-              std::unordered_set<Value, runtime::ValueHash,
-                                 runtime::ValueEq>
-                  dests;
-              for (int64_t i = 0; i < t.rows(); ++i) {
-                for (int64_t j = 0; j < t.cols(); ++j) {
-                  int64_t iargs[2] = {bi * N + i, bj * N + j};
-                  bool pass = true;
-                  for (const auto& p : preds) {
-                    if (!p(iargs)) {
-                      pass = false;
-                      break;
-                    }
-                  }
-                  if (!pass) continue;
-                  const int64_t o1 = f1(iargs), o2 = f2(iargs);
-                  if (o1 < 0 || o1 >= out_rows || o2 < 0 || o2 >= out_cols) {
-                    continue;
-                  }
-                  dests.insert(runtime::VIdx2(o1 / N, o2 / N));
+    const runtime::PartitionFn replicate =
+    runtime::FlatMapRows([=](const Value& row, ValueVec* out) {
+          const int64_t bi = row.At(0).At(0).AsInt();
+          const int64_t bj = row.At(0).At(1).AsInt();
+          const la::Tile& t = row.At(1).AsTile();
+          std::unordered_set<Value, runtime::ValueHash,
+                             runtime::ValueEq>
+              dests;
+          for (int64_t i = 0; i < t.rows(); ++i) {
+            for (int64_t j = 0; j < t.cols(); ++j) {
+              int64_t iargs[2] = {bi * N + i, bj * N + j};
+              bool pass = true;
+              for (const auto& p : preds) {
+                if (!p(iargs)) {
+                  pass = false;
+                  break;
                 }
               }
-              for (const Value& d : dests) {
-                out->push_back(VPair(d, VPair(row.At(0), row.At(1))));
+              if (!pass) continue;
+              const int64_t o1 = f1(iargs), o2 = f2(iargs);
+              if (o1 < 0 || o1 >= out_rows || o2 < 0 || o2 >= out_cols) {
+                continue;
               }
-            },
-            "replicateToImage"));
-    SAC_ASSIGN_OR_RETURN(Dataset grouped, eng->GroupByKey(replicated));
+              dests.insert(runtime::VIdx2(o1 / N, o2 / N));
+            }
+          }
+          for (const Value& d : dests) {
+            out->push_back(VPair(d, VPair(row.At(0), row.At(1))));
+          }
+        });
     // Reduce side: assemble each output tile from the gathered inputs.
-    SAC_ASSIGN_OR_RETURN(
-        Dataset out,
-        eng->Map(
-            grouped,
-            [=](const Value& row) {
-              const int64_t K1 = row.At(0).At(0).AsInt();
-              const int64_t K2 = row.At(0).At(1).AsInt();
-              la::Tile ot(std::min(N, out_rows - K1 * N),
-                          std::min(N, out_cols - K2 * N));
-              for (const Value& src : row.At(1).AsList()) {
-                const int64_t bi = src.At(0).At(0).AsInt();
-                const int64_t bj = src.At(0).At(1).AsInt();
-                const la::Tile& t = src.At(1).AsTile();
-                for (int64_t i = 0; i < t.rows(); ++i) {
-                  for (int64_t j = 0; j < t.cols(); ++j) {
-                    int64_t iargs[2] = {bi * N + i, bj * N + j};
-                    bool pass = true;
-                    for (const auto& p : preds) {
-                      if (!p(iargs)) {
-                        pass = false;
-                        break;
-                      }
-                    }
-                    if (!pass) continue;
-                    const int64_t o1 = f1(iargs), o2 = f2(iargs);
-                    if (o1 / N != K1 || o2 / N != K2) continue;
-                    if (o1 < 0 || o1 >= out_rows || o2 < 0 ||
-                        o2 >= out_cols) {
-                      continue;
-                    }
-                    const double dv[3] = {static_cast<double>(iargs[0]),
-                                          static_cast<double>(iargs[1]),
-                                          t.At(i, j)};
-                    ot.Set(o1 % N, o2 % N, fv(dv));
+    const runtime::PartitionFn assemble =
+    runtime::MapRows([=](const Value& row) {
+          const int64_t K1 = row.At(0).At(0).AsInt();
+          const int64_t K2 = row.At(0).At(1).AsInt();
+          la::Tile ot(std::min(N, out_rows - K1 * N),
+                      std::min(N, out_cols - K2 * N));
+          for (const Value& src : row.At(1).AsList()) {
+            const int64_t bi = src.At(0).At(0).AsInt();
+            const int64_t bj = src.At(0).At(1).AsInt();
+            const la::Tile& t = src.At(1).AsTile();
+            for (int64_t i = 0; i < t.rows(); ++i) {
+              for (int64_t j = 0; j < t.cols(); ++j) {
+                int64_t iargs[2] = {bi * N + i, bj * N + j};
+                bool pass = true;
+                for (const auto& p : preds) {
+                  if (!p(iargs)) {
+                    pass = false;
+                    break;
                   }
                 }
+                if (!pass) continue;
+                const int64_t o1 = f1(iargs), o2 = f2(iargs);
+                if (o1 / N != K1 || o2 / N != K2) continue;
+                if (o1 < 0 || o1 >= out_rows || o2 < 0 ||
+                    o2 >= out_cols) {
+                  continue;
+                }
+                const double dv[3] = {static_cast<double>(iargs[0]),
+                                      static_cast<double>(iargs[1]),
+                                      t.At(i, j)};
+                ot.Set(o1 % N, o2 % N, fv(dv));
               }
-              return VPair(row.At(0), Value::TileVal(std::move(ot)));
-            },
-            "assembleShiftedTiles"));
+            }
+          }
+          return VPair(row.At(0), Value::TileVal(std::move(ot)));
+        });
+    // replicateToImage runs inside the groupByKey's map-side tasks and
+    // assembleShiftedTiles inside its reduce tasks.
+    SAC_ASSIGN_OR_RETURN(
+        Dataset out, eng->GroupByKey(A.tiles, -1, {{replicate}, assemble}));
     QueryResult r;
     r.kind = QueryResult::Kind::kTiled;
     r.tiled = TiledMatrix{out_rows, out_cols, N, out};
@@ -462,9 +459,14 @@ Result<CompiledQuery> TryCoo(const QueryShape& shape, const Bindings& binds,
                        shape.gens[g].idx.size() == 1 ? 1 : 2,
                        shape.gens[g].pos);
     };
-    PlanNodePtr env_rows;
+    // computeElements builds each row's (idx..., val, ...) environment
+    // itself, so it reads the element rows or the join's pairs directly.
+    const int out_key = static_cast<int>(key_exprs.size());
+    PlanNodePtr result;
     if (shape.gens.size() == 1) {
-      env_rows = pb.Narrow(PlanNode::Op::kMap, "elementEnv", elem(0), 0);
+      result = pb.Narrow(PlanNode::Op::kFlatMap, "computeElements", elem(0),
+                         out_key);
+      if (shape.has_group_by) result->fusion = PlanNode::Fusion::kPre;
     } else {
       PlanNodePtr ka = pb.Narrow(PlanNode::Op::kMap, "keyByJoinIndex",
                                  elem(0), 1);
@@ -472,37 +474,42 @@ Result<CompiledQuery> TryCoo(const QueryShape& shape, const Bindings& binds,
                                  elem(1), 1);
       PlanNodePtr joined =
           pb.Shuffle(PlanNode::Op::kJoin, "joinElements", {ka, kb}, 1);
-      env_rows = pb.Narrow(PlanNode::Op::kMap, "joinedEnv", joined, 0);
+      result = pb.Narrow(PlanNode::Op::kFlatMap, "computeElements", joined,
+                         out_key);
+      ka->fusion = kb->fusion = PlanNode::Fusion::kPre;
+      result->fusion = PlanNode::Fusion::kPost;
     }
-    const int out_key = static_cast<int>(key_exprs.size());
-    PlanNodePtr result = pb.Narrow(PlanNode::Op::kFlatMap, "computeElements",
-                                   env_rows, out_key);
     if (shape.has_group_by) {
       PlanNodePtr reduced = pb.Shuffle(PlanNode::Op::kReduceByKey,
                                        "reduceElements", {result}, out_key);
       result = pb.Narrow(PlanNode::Op::kMap, "finalizeElements", reduced,
                          out_key, /*preserves_partitioning=*/true);
+      result->fusion = PlanNode::Fusion::kPost;
     }
+    PlanNodePtr keyed_blocks;
     if (out_is_rdd) {
       q.plan = pb.Collect({result});
     } else if (out_is_vector) {
-      PlanNodePtr kblk = pb.Narrow(PlanNode::Op::kMap, "keyByBlock",
-                                   result, 1);
-      PlanNodePtr gp =
-          pb.Shuffle(PlanNode::Op::kGroupByKey, "groupByBlock", {kblk}, 1);
+      keyed_blocks = pb.Narrow(PlanNode::Op::kMap, "keyByBlock", result, 1);
+      PlanNodePtr gp = pb.Shuffle(PlanNode::Op::kGroupByKey, "groupByBlock",
+                                  {keyed_blocks}, 1);
       q.plan = pb.Narrow(PlanNode::Op::kMap, "buildBlocks", gp, 1,
                          /*preserves_partitioning=*/true);
     } else {
-      PlanNodePtr kt = pb.Narrow(PlanNode::Op::kMap, "keyByTile", result, 2);
-      PlanNodePtr gp =
-          pb.Shuffle(PlanNode::Op::kGroupByKey, "groupByTile", {kt}, 2);
+      keyed_blocks = pb.Narrow(PlanNode::Op::kMap, "keyByTile", result, 2);
+      PlanNodePtr gp = pb.Shuffle(PlanNode::Op::kGroupByKey, "groupByTile",
+                                  {keyed_blocks}, 2);
       q.plan = pb.Narrow(PlanNode::Op::kMap, "buildTiles", gp, 2,
                          /*preserves_partitioning=*/true);
+    }
+    if (keyed_blocks) {
+      keyed_blocks->fusion = PlanNode::Fusion::kPre;
+      q.plan->fusion = PlanNode::Fusion::kPost;
     }
     q.plan_nodes = pb.TakeNodes();
   }
   q.run = [=](Engine* eng) -> Result<QueryResult> {
-    // Build the element-record dataset with rows mapping to a flat tuple
+    // Each element row (or joined pair of rows) maps to a flat tuple
     // (idx..., val, idx..., val) environment.
     auto flatten1 = [](const Value& row, size_t nidx, ValueVec* env) {
       if (nidx == 1) {
@@ -513,134 +520,122 @@ Result<CompiledQuery> TryCoo(const QueryShape& shape, const Bindings& binds,
       }
       env->push_back(row.At(1));
     };
-    Dataset env_rows;
     const size_t nidx0 = sh.gens[0].idx.size();
-    SAC_ASSIGN_OR_RETURN(Dataset e0,
+    const size_t nidx1 = sh.gens.size() == 2 ? sh.gens[1].idx.size() : 0;
+    auto env_of = [flatten1, nidx0, nidx1](const Value& row) {
+      ValueVec env;
+      if (nidx1 == 0) {
+        flatten1(row, nidx0, &env);
+      } else {
+        flatten1(row.At(1).At(0), nidx0, &env);
+        flatten1(row.At(1).At(1), nidx1, &env);
+      }
+      return env;
+    };
+
+    // computeElements: each environment row to (outkey, value-or-partials).
+    const bool grouped = sh.has_group_by;
+    const runtime::PartitionFn compute_elements = runtime::FlatMapRows(
+        [=](const Value& row, ValueVec* out) {
+          const ValueVec env = env_of(row);
+          // Integer args: indices per generator order; double args:
+          // everything.
+          int64_t iargs[4];
+          double dargs[6];
+          size_t ii = 0;
+          for (size_t g = 0, e = 0; g < sh.gens.size(); ++g) {
+            for (size_t p = 0; p < sh.gens[g].idx.size(); ++p, ++e) {
+              iargs[ii++] = env[e + g].AsInt();
+            }
+          }
+          for (size_t e = 0; e < env.size(); ++e) {
+            dargs[e] = env[e].AsDouble();
+          }
+          for (const auto& p : preds_c) {
+            if (!p(iargs)) return;
+          }
+          ValueVec key;
+          for (const auto& f : key_fns_c) {
+            key.push_back(VInt(f(iargs)));
+          }
+          Value key_v = key.size() == 1 ? key[0]
+                                        : runtime::VTuple(std::move(key));
+          if (grouped) {
+            ValueVec partials;
+            for (const auto& a : aggs_c) {
+              partials.push_back(runtime::VDouble(a.g(dargs)));
+            }
+            out->push_back(
+                VPair(key_v, runtime::VTuple(std::move(partials))));
+          } else {
+            out->push_back(
+                VPair(key_v, runtime::VDouble(value_fn_c(dargs))));
+          }
+        });
+
+    // `input` feeds the optional reduceByKey with computeElements as its
+    // pre step (single generator), or is already computeElements' output
+    // (the join runs it in its reduce tasks).
+    SAC_ASSIGN_OR_RETURN(Dataset input,
                          Elements(eng, bnds.at(sh.gens[0].source)));
-    if (sh.gens.size() == 1) {
-      SAC_ASSIGN_OR_RETURN(
-          env_rows,
-          eng->Map(
-              e0,
-              [flatten1, nidx0](const Value& row) {
-                ValueVec env;
-                flatten1(row, nidx0, &env);
-                return runtime::VTuple(std::move(env));
-              },
-              "elementEnv"));
-    } else {
-      const size_t nidx1 = sh.gens[1].idx.size();
+    runtime::PartitionFn pending = compute_elements;
+    if (sh.gens.size() == 2) {
       SAC_ASSIGN_OR_RETURN(Dataset e1,
                            Elements(eng, bnds.at(sh.gens[1].source)));
       // Rule (14): key both sides by the (composite) join index, then join.
-      auto key_by = [&](Dataset d, size_t nidx, bool left) -> Result<Dataset> {
+      auto key_by = [&](size_t nidx, bool left) {
         std::vector<size_t> positions;
         for (const auto& [pa, pb] : jpos) {
           positions.push_back(left ? pa : pb);
         }
-        return eng->Map(
-            d,
-            [nidx, positions](const Value& row) {
-              ValueVec key;
-              for (size_t p : positions) {
-                key.push_back(nidx == 1 ? row.At(0)
-                                        : row.At(0).AsTuple()[p]);
-              }
-              Value k = key.size() == 1 ? key[0]
-                                        : runtime::VTuple(std::move(key));
-              return VPair(std::move(k), row);
-            },
-            "keyByJoinIndex");
+        return runtime::MapRows([nidx, positions](const Value& row) {
+          ValueVec key;
+          for (size_t p : positions) {
+            key.push_back(nidx == 1 ? row.At(0) : row.At(0).AsTuple()[p]);
+          }
+          Value k = key.size() == 1 ? key[0] : runtime::VTuple(std::move(key));
+          return VPair(std::move(k), row);
+        });
       };
-      SAC_ASSIGN_OR_RETURN(Dataset ka, key_by(e0, nidx0, true));
-      SAC_ASSIGN_OR_RETURN(Dataset kb, key_by(e1, nidx1, false));
-      SAC_ASSIGN_OR_RETURN(Dataset joined, eng->Join(ka, kb));
       SAC_ASSIGN_OR_RETURN(
-          env_rows,
-          eng->Map(
-              joined,
-              [flatten1, nidx0, nidx1](const Value& row) {
-                ValueVec env;
-                flatten1(row.At(1).At(0), nidx0, &env);
-                flatten1(row.At(1).At(1), nidx1, &env);
-                return runtime::VTuple(std::move(env));
-              },
-              "joinedEnv"));
+          input, eng->Join(input, e1, -1,
+                           {{key_by(nidx0, true), key_by(nidx1, false)},
+                            compute_elements}));
+      pending = nullptr;
     }
 
-    // Map each environment row to (outkey, value-or-partials).
-    const size_t num_int = int_vars.size();
-    const bool grouped = sh.has_group_by;
-    SAC_ASSIGN_OR_RETURN(
-        Dataset keyed,
-        eng->FlatMap(
-            env_rows,
-            [=](const Value& row, ValueVec* out) {
-              const ValueVec& env = row.AsTuple();
-              // Integer args: indices per generator order; double args:
-              // everything.
-              int64_t iargs[4];
-              double dargs[6];
-              size_t ii = 0;
-              for (size_t g = 0, e = 0; g < sh.gens.size(); ++g) {
-                for (size_t p = 0; p < sh.gens[g].idx.size(); ++p, ++e) {
-                  iargs[ii++] = env[e + g].AsInt();
-                }
-              }
-              for (size_t e = 0; e < env.size(); ++e) {
-                dargs[e] = env[e].AsDouble();
-              }
-              (void)num_int;
-              for (const auto& p : preds_c) {
-                if (!p(iargs)) return;
-              }
-              ValueVec key;
-              for (const auto& f : key_fns_c) {
-                key.push_back(VInt(f(iargs)));
-              }
-              Value key_v = key.size() == 1 ? key[0]
-                                            : runtime::VTuple(std::move(key));
-              if (grouped) {
-                ValueVec partials;
-                for (const auto& a : aggs_c) {
-                  partials.push_back(runtime::VDouble(a.g(dargs)));
-                }
-                out->push_back(
-                    VPair(key_v, runtime::VTuple(std::move(partials))));
-              } else {
-                out->push_back(
-                    VPair(key_v, runtime::VDouble(value_fn_c(dargs))));
-              }
-            },
-            "computeElements"));
-
-    Dataset result_elems = keyed;
+    Dataset result_elems;
     if (grouped) {
-      SAC_ASSIGN_OR_RETURN(
-          Dataset reduced,
-          eng->ReduceByKey(keyed, [aggs_c](const Value& a, const Value& b) {
-            ValueVec out;
-            for (size_t k = 0; k < aggs_c.size(); ++k) {
-              out.push_back(runtime::VDouble(
-                  ScalarMonoidApply(aggs_c[k].op, a.At(k).AsDouble(),
-                                    b.At(k).AsDouble())));
+      const runtime::PartitionFn finalize =
+          runtime::MapRows([finalize_c, fin_id](const Value& row) {
+            if (fin_id) return VPair(row.At(0), row.At(1).At(0));
+            std::vector<double> args;
+            for (const Value& v : row.At(1).AsTuple()) {
+              args.push_back(v.AsDouble());
             }
-            return runtime::VTuple(std::move(out));
-          }));
+            return VPair(row.At(0),
+                         runtime::VDouble(finalize_c(args.data())));
+          });
       SAC_ASSIGN_OR_RETURN(
           result_elems,
-          eng->Map(
-              reduced,
-              [finalize_c, fin_id](const Value& row) {
-                if (fin_id) return VPair(row.At(0), row.At(1).At(0));
-                std::vector<double> args;
-                for (const Value& v : row.At(1).AsTuple()) {
-                  args.push_back(v.AsDouble());
+          eng->ReduceByKey(
+              input,
+              [aggs_c](const Value& a, const Value& b) {
+                ValueVec out;
+                for (size_t k = 0; k < aggs_c.size(); ++k) {
+                  out.push_back(runtime::VDouble(
+                      ScalarMonoidApply(aggs_c[k].op, a.At(k).AsDouble(),
+                                        b.At(k).AsDouble())));
                 }
-                return VPair(row.At(0),
-                             runtime::VDouble(finalize_c(args.data())));
+                return runtime::VTuple(std::move(out));
               },
-              "finalizeElements"));
+              -1, {{pending}, finalize}));
+    } else if (pending) {
+      SAC_ASSIGN_OR_RETURN(
+          result_elems,
+          eng->MapPartitions(input, pending, "computeElements"));
+    } else {
+      result_elems = input;
     }
 
     QueryResult r;
@@ -651,35 +646,29 @@ Result<CompiledQuery> TryCoo(const QueryShape& shape, const Bindings& binds,
       return r;
     }
     if (out_is_vector) {
-      // Assemble blocks: (i, v) -> (i/N, offsets) via groupByKey.
+      // Assemble blocks: (i, v) -> (i/N, offsets) via groupByKey, keying
+      // in its map-side tasks and building in its reduce tasks.
       const int64_t N = block, size = out_rows;
+      const runtime::PartitionFn key_by_block =
+          runtime::MapRows([N](const Value& row) {
+            const int64_t i = row.At(0).AsInt();
+            return VPair(VInt(i / N), VPair(VInt(i % N), row.At(1)));
+          });
+      const runtime::PartitionFn build_blocks =
+          runtime::MapRows([N, size](const Value& row) {
+            const int64_t bi = row.At(0).AsInt();
+            la::Tile t(1, std::min(N, size - bi * N));
+            for (const Value& kv : row.At(1).AsList()) {
+              const int64_t off = kv.At(0).AsInt();
+              if (off >= 0 && off < t.cols()) {
+                t.Set(0, off, kv.At(1).AsDouble());
+              }
+            }
+            return VPair(row.At(0), Value::TileVal(std::move(t)));
+          });
       SAC_ASSIGN_OR_RETURN(
-          Dataset keyed_blocks,
-          eng->Map(
-              result_elems,
-              [N](const Value& row) {
-                const int64_t i = row.At(0).AsInt();
-                return VPair(VInt(i / N),
-                             VPair(VInt(i % N), row.At(1)));
-              },
-              "keyByBlock"));
-      SAC_ASSIGN_OR_RETURN(Dataset grouped_b, eng->GroupByKey(keyed_blocks));
-      SAC_ASSIGN_OR_RETURN(
-          Dataset blocks,
-          eng->Map(
-              grouped_b,
-              [N, size](const Value& row) {
-                const int64_t bi = row.At(0).AsInt();
-                la::Tile t(1, std::min(N, size - bi * N));
-                for (const Value& kv : row.At(1).AsList()) {
-                  const int64_t off = kv.At(0).AsInt();
-                  if (off >= 0 && off < t.cols()) {
-                    t.Set(0, off, kv.At(1).AsDouble());
-                  }
-                }
-                return VPair(row.At(0), Value::TileVal(std::move(t)));
-              },
-              "buildBlocks"));
+          Dataset blocks, eng->GroupByKey(result_elems, -1,
+                                          {{key_by_block}, build_blocks}));
       r.kind = QueryResult::Kind::kBlockVector;
       r.vec = storage::BlockVector{out_rows, block, blocks};
       return r;

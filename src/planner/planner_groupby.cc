@@ -203,6 +203,26 @@ Result<la::Tile> FinalizeTiles(const ScalarFn& f, const ValueVec& agg_tiles) {
   return out;
 }
 
+/// The finalize step after a tile-monoid reduceByKey: (key, (agg
+/// tiles...)) rows become (key, tile), the finalize expression applied
+/// per cell unless it is the identity on the single aggregate.
+runtime::PartitionFn FinalizeStep(ScalarFn fin, bool identity) {
+  return [fin = std::move(fin), identity](const runtime::Partition& in,
+                                          runtime::Partition* out) -> Status {
+    out->reserve(in.size());
+    for (const Value& row : in) {
+      if (identity) {
+        out->push_back(VPair(row.At(0), row.At(1).At(0)));
+        continue;
+      }
+      SAC_ASSIGN_OR_RETURN(la::Tile t,
+                           FinalizeTiles(fin, row.At(1).AsTuple()));
+      out->push_back(VPair(row.At(0), Value::TileVal(std::move(t))));
+    }
+    return Status::OK();
+  };
+}
+
 bool FinalizeIsIdentity(const AggDecomposition& d) {
   return d.aggs.size() == 1 && d.finalize->kind == Expr::Kind::kVar &&
          d.finalize->str_val == "$agg0";
@@ -555,96 +575,75 @@ Result<CompiledQuery> TryReduceByKey(const QueryShape& shape,
                      out_key, reduce_np);
       q.plan = pb.Narrow(PlanNode::Op::kMap, "finalize", reduced, out_key,
                          /*preserves_partitioning=*/true);
+      ka->fusion = PlanNode::Fusion::kPre;
+      if (kb2 != sb) kb2->fusion = PlanNode::Fusion::kPre;
+      partials->fusion = q.plan->fusion = PlanNode::Fusion::kPost;
       q.plan_nodes = pb.TakeNodes();
     }
     q.run = [=](Engine* eng) -> Result<QueryResult> {
       const la::KernelBackend* kbk = RunBackendFor(eng, use_jvmlike);
       Metrics* mets = &eng->metrics();
-      // Key A tiles by join coordinate.
-      SAC_ASSIGN_OR_RETURN(
-          Dataset ka,
-          eng->Map(
-              A.tiles,
-              [js](const Value& row) {
-                const ValueVec& c = row.At(0).AsTuple();
-                return VPair(c[js.a_join_pos],
-                             VPair(c[js.a_out_pos], row.At(1)));
-              },
-              "keyByJoinDim"));
-      Dataset kb;
-      if (js.b_is_vector) {
-        kb = B.vec.blocks;
-      } else {
-        SAC_ASSIGN_OR_RETURN(
-            kb, eng->Map(
-                    B.tiled.tiles,
-                    [js](const Value& row) {
-                      const ValueVec& c = row.At(0).AsTuple();
-                      return VPair(c[js.b_join_pos],
-                                   VPair(c[js.b_out_pos], row.At(1)));
-                    },
-                    "keyByJoinDim"));
-      }
-      SAC_ASSIGN_OR_RETURN(Dataset joined, eng->Join(ka, kb));
+      // Key tiles by join coordinate.
+      auto key_by_join_dim = [](size_t join_pos, size_t out_pos) {
+        return runtime::MapRows([join_pos, out_pos](const Value& row) {
+          const ValueVec& c = row.At(0).AsTuple();
+          return VPair(c[join_pos], VPair(c[out_pos], row.At(1)));
+        });
+      };
       // Per joined pair: partial aggregate tiles keyed by output coord.
       const bool a_swap = (js.a_out_pos == 1);  // stored (k, i): transpose
       const bool b_swap = !js.b_is_vector && (js.b_join_pos == 1);
+      const runtime::PartitionFn partial_products =
+          runtime::MapRows([=](const Value& row) -> Value {
+            const Value& av = row.At(1).At(0);
+            const Value& bv = row.At(1).At(1);
+            const la::Tile a =
+                Oriented(av.At(1).AsTile(), a_swap);
+            Value out_key;
+            ValueVec accs_v;
+            if (js.b_is_vector) {
+              const la::Tile& b = bv.AsTile();
+              out_key = av.At(0);
+              std::vector<la::Tile> accs;
+              for (ReduceOp op : ops) {
+                accs.push_back(
+                    FilledTile(1, a.rows(), MonoidIdentity(op)));
+              }
+              AccumulatePair(js, a, b, true, kbk, mets, &accs);
+              for (auto& t : accs) {
+                accs_v.push_back(Value::TileVal(std::move(t)));
+              }
+            } else {
+              const la::Tile b = Oriented(bv.At(1).AsTile(), b_swap);
+              out_key = runtime::VTuple({av.At(0), bv.At(0)});
+              std::vector<la::Tile> accs;
+              for (ReduceOp op : ops) {
+                accs.push_back(
+                    FilledTile(a.rows(), b.cols(), MonoidIdentity(op)));
+              }
+              AccumulatePair(js, a, b, false, kbk, mets, &accs);
+              for (auto& t : accs) {
+                accs_v.push_back(Value::TileVal(std::move(t)));
+              }
+            }
+            return VPair(out_key, runtime::VTuple(std::move(accs_v)));
+          });
+      // keyByJoinDim and partialProducts run inside the join's tasks,
+      // finalize inside the reduceByKey's.
       SAC_ASSIGN_OR_RETURN(
           Dataset partials,
-          eng->Map(
-              joined,
-              [=](const Value& row) -> Value {
-                const Value& av = row.At(1).At(0);
-                const Value& bv = row.At(1).At(1);
-                const la::Tile a =
-                    Oriented(av.At(1).AsTile(), a_swap);
-                Value out_key;
-                ValueVec accs_v;
-                if (js.b_is_vector) {
-                  const la::Tile& b = bv.AsTile();
-                  out_key = av.At(0);
-                  std::vector<la::Tile> accs;
-                  for (ReduceOp op : ops) {
-                    accs.push_back(
-                        FilledTile(1, a.rows(), MonoidIdentity(op)));
-                  }
-                  AccumulatePair(js, a, b, true, kbk, mets, &accs);
-                  for (auto& t : accs) {
-                    accs_v.push_back(Value::TileVal(std::move(t)));
-                  }
-                } else {
-                  const la::Tile b = Oriented(bv.At(1).AsTile(), b_swap);
-                  out_key = runtime::VTuple({av.At(0), bv.At(0)});
-                  std::vector<la::Tile> accs;
-                  for (ReduceOp op : ops) {
-                    accs.push_back(
-                        FilledTile(a.rows(), b.cols(), MonoidIdentity(op)));
-                  }
-                  AccumulatePair(js, a, b, false, kbk, mets, &accs);
-                  for (auto& t : accs) {
-                    accs_v.push_back(Value::TileVal(std::move(t)));
-                  }
-                }
-                return VPair(out_key, runtime::VTuple(std::move(accs_v)));
-              },
-              "partialProducts"));
-      SAC_ASSIGN_OR_RETURN(Dataset reduced,
-                           eng->ReduceByKey(partials, TupleTileCombine(ops),
-                                            reduce_np));
-      // Finalize.
-      const ScalarFn fin = js.finalize;
-      const bool identity = js.finalize_identity;
+          eng->Join(A.tiles, js.b_is_vector ? B.vec.blocks : B.tiled.tiles,
+                    -1,
+                    {{key_by_join_dim(js.a_join_pos, js.a_out_pos),
+                      js.b_is_vector
+                          ? runtime::PartitionFn()
+                          : key_by_join_dim(js.b_join_pos, js.b_out_pos)},
+                     partial_products}));
       SAC_ASSIGN_OR_RETURN(
           Dataset out,
-          eng->Map(
-              reduced,
-              [fin, identity](const Value& row) -> Value {
-                if (identity) return VPair(row.At(0), row.At(1).At(0));
-                auto t = FinalizeTiles(fin, row.At(1).AsTuple());
-                return VPair(row.At(0),
-                             Value::TileVal(std::move(t).value()));
-              },
-              "finalize"));
+          eng->ReduceByKey(partials, TupleTileCombine(ops), reduce_np,
+                           {{}, FinalizeStep(js.finalize,
+                                             js.finalize_identity)}));
       QueryResult r;
       if (out_is_vector) {
         r.kind = QueryResult::Kind::kBlockVector;
@@ -753,114 +752,105 @@ Result<CompiledQuery> TryReduceByKey(const QueryShape& shape,
                      out_key, reduce_np);
       q.plan = pb.Narrow(PlanNode::Op::kMap, "finalize", reduced, out_key,
                          /*preserves_partitioning=*/true);
+      partials->fusion = PlanNode::Fusion::kPre;
+      q.plan->fusion = PlanNode::Fusion::kPost;
       q.plan_nodes = pb.TakeNodes();
     }
     q.run = [=](Engine* eng) -> Result<QueryResult> {
       const la::KernelBackend* kbk =
           RunBackendFor(eng, opts_use_jvmlike);
       Metrics* mets = &eng->metrics();
-      SAC_ASSIGN_OR_RETURN(
-          Dataset partials,
-          eng->FlatMap(
-              A.tiles,
-              [=](const Value& row, ValueVec* out) {
-                const int64_t bi = row.At(0).At(0).AsInt();
-                const int64_t bj = row.At(0).At(1).AsInt();
-                const la::Tile& t = row.At(1).AsTile();
-                if (row_sums || col_sums) {
-                  const int64_t len = row_sums ? t.rows() : t.cols();
-                  la::Tile part(1, len);
-                  if (row_sums) {
-                    kbk->RowSums(t, part.data());
-                  } else {
-                    kbk->ColSums(t, part.data());
-                  }
-                  la::MeterFlops(mets, kbk->kind(),
-                                 static_cast<uint64_t>(t.size()));
-                  out->push_back(
-                      VPair(VInt(row_sums ? bi : bj),
-                            runtime::VTuple(
-                                {Value::TileVal(std::move(part))})));
-                  return;
-                }
-                // Generic: bucket per output block.
-                struct Acc {
-                  std::vector<la::Tile> tiles;
-                };
-                std::unordered_map<Value, Acc, runtime::ValueHash,
-                                   runtime::ValueEq>
-                    buckets;
-                for (int64_t i = 0; i < t.rows(); ++i) {
-                  for (int64_t j = 0; j < t.cols(); ++j) {
-                    int64_t iargs[2] = {bi * N + i, bj * N + j};
-                    bool pass = true;
-                    for (const auto& p : preds) {
-                      if (!p(iargs)) {
-                        pass = false;
-                        break;
-                      }
-                    }
-                    if (!pass) continue;
-                    double dargs_v[3] = {static_cast<double>(iargs[0]),
-                                         static_cast<double>(iargs[1]),
-                                         t.At(i, j)};
-                    // Output coordinates from the key positions.
-                    int64_t o0 = iargs[kpos[0]];
-                    int64_t o1 = kpos.size() > 1 ? iargs[kpos[1]] : 0;
-                    if (o0 < 0 || o0 >= orows || o1 < 0 || o1 >= ocols) {
-                      continue;
-                    }
-                    Value bkey = vec_out
-                                     ? VInt(o0 / N)
-                                     : runtime::VIdx2(o0 / N, o1 / N);
-                    auto [it, inserted] = buckets.try_emplace(bkey);
-                    if (inserted) {
-                      const int64_t br = vec_out
-                                             ? 1
-                                             : std::min(N, orows -
-                                                               (o0 / N) * N);
-                      const int64_t bc =
-                          vec_out ? std::min(N, orows - (o0 / N) * N)
-                                  : std::min(N, ocols - (o1 / N) * N);
-                      for (ReduceOp op : ops) {
-                        it->second.tiles.push_back(
-                            FilledTile(br, bc, MonoidIdentity(op)));
-                      }
-                    }
-                    for (size_t m = 0; m < g_fns.size(); ++m) {
-                      la::Tile& acc = it->second.tiles[m];
-                      double* cell =
-                          vec_out ? &acc.data()[o0 % N]
-                                  : &acc.data()[(o0 % N) * acc.cols() +
-                                                (o1 % N)];
-                      MonoidAccum(ops[m], cell, g_fns[m](dargs_v));
-                    }
+      const runtime::PartitionFn partial_aggregates =
+          runtime::FlatMapRows([=](const Value& row, ValueVec* out) {
+            const int64_t bi = row.At(0).At(0).AsInt();
+            const int64_t bj = row.At(0).At(1).AsInt();
+            const la::Tile& t = row.At(1).AsTile();
+            if (row_sums || col_sums) {
+              const int64_t len = row_sums ? t.rows() : t.cols();
+              la::Tile part(1, len);
+              if (row_sums) {
+                kbk->RowSums(t, part.data());
+              } else {
+                kbk->ColSums(t, part.data());
+              }
+              la::MeterFlops(mets, kbk->kind(),
+                             static_cast<uint64_t>(t.size()));
+              out->push_back(
+                  VPair(VInt(row_sums ? bi : bj),
+                        runtime::VTuple(
+                            {Value::TileVal(std::move(part))})));
+              return;
+            }
+            // Generic: bucket per output block.
+            struct Acc {
+              std::vector<la::Tile> tiles;
+            };
+            std::unordered_map<Value, Acc, runtime::ValueHash,
+                               runtime::ValueEq>
+                buckets;
+            for (int64_t i = 0; i < t.rows(); ++i) {
+              for (int64_t j = 0; j < t.cols(); ++j) {
+                int64_t iargs[2] = {bi * N + i, bj * N + j};
+                bool pass = true;
+                for (const auto& p : preds) {
+                  if (!p(iargs)) {
+                    pass = false;
+                    break;
                   }
                 }
-                for (auto& [bkey, acc] : buckets) {
-                  ValueVec tiles_v;
-                  for (auto& tt : acc.tiles) {
-                    tiles_v.push_back(Value::TileVal(std::move(tt)));
-                  }
-                  out->push_back(
-                      VPair(bkey, runtime::VTuple(std::move(tiles_v))));
+                if (!pass) continue;
+                double dargs_v[3] = {static_cast<double>(iargs[0]),
+                                     static_cast<double>(iargs[1]),
+                                     t.At(i, j)};
+                // Output coordinates from the key positions.
+                int64_t o0 = iargs[kpos[0]];
+                int64_t o1 = kpos.size() > 1 ? iargs[kpos[1]] : 0;
+                if (o0 < 0 || o0 >= orows || o1 < 0 || o1 >= ocols) {
+                  continue;
                 }
-              },
-              "partialAggregates"));
-      SAC_ASSIGN_OR_RETURN(Dataset reduced,
-                           eng->ReduceByKey(partials, TupleTileCombine(ops),
-                                            reduce_np));
+                Value bkey = vec_out
+                                 ? VInt(o0 / N)
+                                 : runtime::VIdx2(o0 / N, o1 / N);
+                auto [it, inserted] = buckets.try_emplace(bkey);
+                if (inserted) {
+                  const int64_t br = vec_out
+                                         ? 1
+                                         : std::min(N, orows -
+                                                           (o0 / N) * N);
+                  const int64_t bc =
+                      vec_out ? std::min(N, orows - (o0 / N) * N)
+                              : std::min(N, ocols - (o1 / N) * N);
+                  for (ReduceOp op : ops) {
+                    it->second.tiles.push_back(
+                        FilledTile(br, bc, MonoidIdentity(op)));
+                  }
+                }
+                for (size_t m = 0; m < g_fns.size(); ++m) {
+                  la::Tile& acc = it->second.tiles[m];
+                  double* cell =
+                      vec_out ? &acc.data()[o0 % N]
+                              : &acc.data()[(o0 % N) * acc.cols() +
+                                            (o1 % N)];
+                  MonoidAccum(ops[m], cell, g_fns[m](dargs_v));
+                }
+              }
+            }
+            for (auto& [bkey, acc] : buckets) {
+              ValueVec tiles_v;
+              for (auto& tt : acc.tiles) {
+                tiles_v.push_back(Value::TileVal(std::move(tt)));
+              }
+              out->push_back(
+                  VPair(bkey, runtime::VTuple(std::move(tiles_v))));
+            }
+          });
+      // partialAggregates runs inside the reduceByKey's map-side tasks,
+      // finalize inside its reduce tasks.
       SAC_ASSIGN_OR_RETURN(
           Dataset out,
-          eng->Map(
-              reduced,
-              [fin, identity](const Value& row) -> Value {
-                if (identity) return VPair(row.At(0), row.At(1).At(0));
-                auto t = FinalizeTiles(fin, row.At(1).AsTuple());
-                return VPair(row.At(0),
-                             Value::TileVal(std::move(t).value()));
-              },
-              "finalize"));
+          eng->ReduceByKey(A.tiles, TupleTileCombine(ops), reduce_np,
+                           {{partial_aggregates},
+                            FinalizeStep(fin, identity)}));
       QueryResult r;
       if (vec_out) {
         r.kind = QueryResult::Kind::kBlockVector;
@@ -951,6 +941,8 @@ Result<CompiledQuery> TryGroupByJoin(const QueryShape& shape,
         pb.Shuffle(PlanNode::Op::kCoGroup, "cogroupPanels", {ra, rb}, 2);
     q.plan = pb.Narrow(PlanNode::Op::kFlatMap, "summaMultiply", cg, 2,
                        /*preserves_partitioning=*/true);
+    ra->fusion = rb->fusion = PlanNode::Fusion::kPre;
+    q.plan->fusion = PlanNode::Fusion::kPost;
     q.plan_nodes = pb.TakeNodes();
   }
   q.run = [=](Engine* eng) -> Result<QueryResult> {
@@ -958,87 +950,81 @@ Result<CompiledQuery> TryGroupByJoin(const QueryShape& shape,
     Metrics* mets = &eng->metrics();
     const bool a_swap = (js.a_out_pos == 1);
     const bool b_swap = (js.b_join_pos == 1);
-    // As: every A tile goes to every output column panel.
-    SAC_ASSIGN_OR_RETURN(
-        Dataset as,
-        eng->FlatMap(
-            A.tiles,
-            [=](const Value& row, ValueVec* out) {
-              const ValueVec& c = row.At(0).AsTuple();
-              const Value i = c[js.a_out_pos];
-              const Value k = c[js.a_join_pos];
-              for (int64_t q2 = 0; q2 < out_gc; ++q2) {
-                out->push_back(VPair(runtime::VTuple({i, VInt(q2)}),
-                                     VPair(k, row.At(1))));
-              }
-            },
-            "replicateA"));
-    SAC_ASSIGN_OR_RETURN(
-        Dataset bs,
-        eng->FlatMap(
-            B.tiles,
-            [=](const Value& row, ValueVec* out) {
-              const ValueVec& c = row.At(0).AsTuple();
-              const Value j = c[js.b_out_pos];
-              const Value k = c[js.b_join_pos];
-              for (int64_t q2 = 0; q2 < out_gr; ++q2) {
-                out->push_back(VPair(runtime::VTuple({VInt(q2), j}),
-                                     VPair(k, row.At(1))));
-              }
-            },
-            "replicateB"));
-    SAC_ASSIGN_OR_RETURN(Dataset cg, eng->CoGroup(as, bs));
+    // replicateA: every A tile goes to every output column panel.
+    const runtime::PartitionFn replicate_a =
+    runtime::FlatMapRows([=](const Value& row, ValueVec* out) {
+          const ValueVec& c = row.At(0).AsTuple();
+          const Value i = c[js.a_out_pos];
+          const Value k = c[js.a_join_pos];
+          for (int64_t q2 = 0; q2 < out_gc; ++q2) {
+            out->push_back(VPair(runtime::VTuple({i, VInt(q2)}),
+                                 VPair(k, row.At(1))));
+          }
+        });
+    // replicateB: every B tile goes to every output row panel.
+    const runtime::PartitionFn replicate_b =
+    runtime::FlatMapRows([=](const Value& row, ValueVec* out) {
+          const ValueVec& c = row.At(0).AsTuple();
+          const Value j = c[js.b_out_pos];
+          const Value k = c[js.b_join_pos];
+          for (int64_t q2 = 0; q2 < out_gr; ++q2) {
+            out->push_back(VPair(runtime::VTuple({VInt(q2), j}),
+                                 VPair(k, row.At(1))));
+          }
+        });
     const ScalarFn fin = js.finalize;
     const bool identity = js.finalize_identity;
+    const runtime::PartitionFn summa_multiply =
+    runtime::FlatMapRows([=](const Value& row, ValueVec* outv) {
+          const ValueVec& a_list = row.At(1).At(0).AsList();
+          const ValueVec& b_list = row.At(1).At(1).AsList();
+          if (a_list.empty() || b_list.empty()) return;
+          // Index B panel tiles by join coordinate.
+          std::unordered_map<int64_t, std::vector<const Value*>> b_by_k;
+          for (const Value& bv : b_list) {
+            b_by_k[bv.At(0).AsInt()].push_back(&bv);
+          }
+          const int64_t K1 = row.At(0).At(0).AsInt();
+          const int64_t K2 = row.At(0).At(1).AsInt();
+          const int64_t r = std::min(block, out_rows - K1 * block);
+          const int64_t ccols = std::min(block, out_cols - K2 * block);
+          if (r <= 0 || ccols <= 0) return;
+          std::vector<la::Tile> accs;
+          for (ReduceOp op : ops) {
+            accs.push_back(FilledTile(r, ccols, MonoidIdentity(op)));
+          }
+          bool any = false;
+          for (const Value& av : a_list) {
+            auto it = b_by_k.find(av.At(0).AsInt());
+            if (it == b_by_k.end()) continue;
+            const la::Tile a = Oriented(av.At(1).AsTile(), a_swap);
+            for (const Value* bv : it->second) {
+              const la::Tile b = Oriented(bv->At(1).AsTile(), b_swap);
+              AccumulatePair(js, a, b, false, kbk, mets, &accs);
+              any = true;
+            }
+          }
+          if (!any) return;
+          Value out_tile;
+          if (identity) {
+            out_tile = Value::TileVal(std::move(accs[0]));
+          } else {
+            ValueVec tiles_v;
+            for (auto& t : accs) {
+              tiles_v.push_back(Value::TileVal(std::move(t)));
+            }
+            auto t = FinalizeTiles(fin, tiles_v);
+            if (!t.ok()) return;
+            out_tile = Value::TileVal(std::move(t).value());
+          }
+          outv->push_back(VPair(row.At(0), std::move(out_tile)));
+        });
+    // The replications run inside the cogroup's map-side tasks and
+    // summaMultiply inside its reduce tasks.
     SAC_ASSIGN_OR_RETURN(
-        Dataset out,
-        eng->FlatMap(
-            cg,
-            [=](const Value& row, ValueVec* outv) {
-              const ValueVec& a_list = row.At(1).At(0).AsList();
-              const ValueVec& b_list = row.At(1).At(1).AsList();
-              if (a_list.empty() || b_list.empty()) return;
-              // Index B panel tiles by join coordinate.
-              std::unordered_map<int64_t, std::vector<const Value*>> b_by_k;
-              for (const Value& bv : b_list) {
-                b_by_k[bv.At(0).AsInt()].push_back(&bv);
-              }
-              const int64_t K1 = row.At(0).At(0).AsInt();
-              const int64_t K2 = row.At(0).At(1).AsInt();
-              const int64_t r = std::min(block, out_rows - K1 * block);
-              const int64_t ccols = std::min(block, out_cols - K2 * block);
-              if (r <= 0 || ccols <= 0) return;
-              std::vector<la::Tile> accs;
-              for (ReduceOp op : ops) {
-                accs.push_back(FilledTile(r, ccols, MonoidIdentity(op)));
-              }
-              bool any = false;
-              for (const Value& av : a_list) {
-                auto it = b_by_k.find(av.At(0).AsInt());
-                if (it == b_by_k.end()) continue;
-                const la::Tile a = Oriented(av.At(1).AsTile(), a_swap);
-                for (const Value* bv : it->second) {
-                  const la::Tile b = Oriented(bv->At(1).AsTile(), b_swap);
-                  AccumulatePair(js, a, b, false, kbk, mets, &accs);
-                  any = true;
-                }
-              }
-              if (!any) return;
-              Value out_tile;
-              if (identity) {
-                out_tile = Value::TileVal(std::move(accs[0]));
-              } else {
-                ValueVec tiles_v;
-                for (auto& t : accs) {
-                  tiles_v.push_back(Value::TileVal(std::move(t)));
-                }
-                auto t = FinalizeTiles(fin, tiles_v);
-                if (!t.ok()) return;
-                out_tile = Value::TileVal(std::move(t).value());
-              }
-              outv->push_back(VPair(row.At(0), std::move(out_tile)));
-            },
-            "summaMultiply"));
+        Dataset out, eng->CoGroup(A.tiles, B.tiles, -1,
+                                  {{replicate_a, replicate_b},
+                                   summa_multiply}));
     QueryResult res;
     res.kind = QueryResult::Kind::kTiled;
     res.tiled = TiledMatrix{out_rows, out_cols, block, out};

@@ -74,6 +74,12 @@ Status ExpectPair(const Value& row) {
   return Status::OK();
 }
 
+/// Map side of the operators that shuffle every record unchanged.
+Result<Partition> CheckPairs(Partition src, int) {
+  for (const Value& row : src) SAC_RETURN_NOT_OK(ExpectPair(row));
+  return src;
+}
+
 /// SAC_SHUFFLE_FAST_PATH: unset/"on"/"1"/"true" => fast path (default);
 /// "off"/"0"/"false" => force the serialize-everything path.
 bool FastPathFromEnv() {
@@ -789,27 +795,29 @@ Result<Dataset> Engine::GeneratePartitions(
   return ds;
 }
 
+PartitionFn MapRows(MapFn fn) {
+  return [fn = std::move(fn)](const Partition& src, Partition* out) {
+    out->reserve(src.size());
+    for (const Value& row : src) out->push_back(fn(row));
+    return Status::OK();
+  };
+}
+
+PartitionFn FlatMapRows(FlatMapFn fn) {
+  return [fn = std::move(fn)](const Partition& src, Partition* out) {
+    for (const Value& row : src) fn(row, out);
+    return Status::OK();
+  };
+}
+
 Result<Dataset> Engine::Map(const Dataset& in, MapFn fn,
                             const std::string& label) {
-  return MapPartitions(
-      in,
-      [fn](const Partition& src, Partition* out) {
-        out->reserve(src.size());
-        for (const Value& row : src) out->push_back(fn(row));
-        return Status::OK();
-      },
-      label);
+  return MapPartitions(in, MapRows(std::move(fn)), label);
 }
 
 Result<Dataset> Engine::FlatMap(const Dataset& in, FlatMapFn fn,
                                 const std::string& label) {
-  return MapPartitions(
-      in,
-      [fn](const Partition& src, Partition* out) {
-        for (const Value& row : src) fn(row, out);
-        return Status::OK();
-      },
-      label);
+  return MapPartitions(in, FlatMapRows(std::move(fn)), label);
 }
 
 Result<Dataset> Engine::Filter(const Dataset& in, PredFn pred,
@@ -968,18 +976,30 @@ Result<Dataset> Engine::ShuffleOp(DatasetImpl::OpKind kind,
                                   const std::string& label,
                                   std::vector<Dataset> parents,
                                   int num_partitions, MapSideFn map_side,
-                                  ReduceSideFn reduce_side) {
+                                  ReduceSideFn reduce_side, Pipeline pipe) {
   for (const Dataset& p : parents) SAC_RETURN_NOT_OK(Recover(p));
+  if (pipe.post) {
+    // The post step runs on the folded rows inside the same reduce task.
+    reduce_side = [fold = std::move(reduce_side), post = std::move(pipe.post)](
+                      ValueVec rows_a, ValueVec rows_b, Partition* out) {
+      Partition folded;
+      SAC_RETURN_NOT_OK(fold(std::move(rows_a), std::move(rows_b), &folded));
+      return post(folded, out);
+    };
+  }
   Dataset ds = NewDataset(kind, label, std::move(parents), num_partitions);
-  ds->wide_fn_ = [map_side, reduce_side](Engine* eng, DatasetImpl* self,
-                                         int out) {
-    return eng->ExecuteShuffle(self, map_side, reduce_side, out);
+  ds->wide_fn_ = [pre = pipe.pre, map_side, reduce_side](
+                     Engine* eng, DatasetImpl* self, int out) {
+    return eng->ExecuteShuffle(self, pre, map_side, reduce_side, out);
   };
-  SAC_RETURN_NOT_OK(ExecuteShuffle(ds.get(), map_side, reduce_side, -1));
+  SAC_RETURN_NOT_OK(
+      ExecuteShuffle(ds.get(), pipe.pre, map_side, reduce_side, -1));
   return ds;
 }
 
-Status Engine::ExecuteShuffle(DatasetImpl* ds, const MapSideFn& map_side,
+Status Engine::ExecuteShuffle(DatasetImpl* ds,
+                              const std::vector<PartitionFn>& pre,
+                              const MapSideFn& map_side,
                               const ReduceSideFn& reduce_side,
                               int only_dest) {
   const int num_dest = ds->num_partitions();
@@ -1006,6 +1026,21 @@ Status Engine::ExecuteShuffle(DatasetImpl* ds, const MapSideFn& map_side,
   std::vector<std::vector<ShuffleBuckets>> buckets(num_parents);
   const TaskContext write_ctx = ContextFor(ds, stage_span.id(),
                                            "shuffle-write");
+  // The rows source partition s of parent p hands to BucketRows: the
+  // pinned rows through the pipelined pre step (which, like a narrow
+  // task, passes the mid-map fault point once its output exists) and the
+  // operator's map-side step.
+  auto map_rows = [&](int p, int s, const Partition& pinned,
+                      int attempt) -> Result<Partition> {
+    if (p >= static_cast<int>(pre.size()) || !pre[p]) {
+      return map_side(pinned, p);
+    }
+    Partition piped;
+    SAC_RETURN_NOT_OK(pre[p](pinned, &piped));
+    SAC_RETURN_NOT_OK(
+        CheckFault(recovery::FaultPoint::kMidMap, write_ctx, s, attempt));
+    return map_side(std::move(piped), p);
+  };
   for (int p = 0; p < num_parents; ++p) {
     SAC_RETURN_NOT_OK(Recover(ds->parents_[p]));
     DatasetImpl* parent = ds->parents_[p].get();
@@ -1013,11 +1048,13 @@ Status Engine::ExecuteShuffle(DatasetImpl* ds, const MapSideFn& map_side,
     buckets[p].resize(num_src);
     SAC_RETURN_NOT_OK(ParallelParts(
         write_ctx, num_src, [&](int s, int attempt) -> Status {
-          // Each attempt re-runs the map-side combine from the pinned
-          // parent partition, so a kill inside BucketRows replays
-          // cleanly; records_in and the buckets publish only on success.
+          // Each attempt re-runs the pre step and map-side combine from
+          // the pinned parent partition, so a kill inside either or
+          // inside BucketRows replays cleanly; records_in and the buckets
+          // publish only on success.
           SAC_ASSIGN_OR_RETURN(PartitionPin pin, PinPartition(parent, s));
-          SAC_ASSIGN_OR_RETURN(Partition combined, map_side(pin.rows(), p));
+          SAC_ASSIGN_OR_RETURN(Partition combined,
+                               map_rows(p, s, pin.rows(), attempt));
           SAC_ASSIGN_OR_RETURN(ShuffleBuckets bs,
                                BucketRows(write_ctx, std::move(combined), s,
                                           num_dest, attempt));
@@ -1049,7 +1086,8 @@ Status Engine::ExecuteShuffle(DatasetImpl* ds, const MapSideFn& map_side,
     }
     DatasetImpl* parent = ds->parents_[p].get();
     SAC_ASSIGN_OR_RETURN(PartitionPin pin, PinPartition(parent, s));
-    SAC_ASSIGN_OR_RETURN(Partition combined, map_side(pin.rows(), p));
+    SAC_ASSIGN_OR_RETURN(Partition combined,
+                         map_rows(p, s, pin.rows(), /*attempt=*/1));
     SAC_ASSIGN_OR_RETURN(ShuffleBuckets fresh,
                          BucketRows(write_ctx, std::move(combined), s,
                                     num_dest, /*attempt=*/1));
@@ -1177,7 +1215,7 @@ Status Engine::ExecuteShuffle(DatasetImpl* ds, const MapSideFn& map_side,
 }
 
 Result<Dataset> Engine::ReduceByKey(const Dataset& in, CombineFn combine,
-                                    int num_partitions) {
+                                    int num_partitions, Pipeline pipe) {
   if (num_partitions <= 0) num_partitions = in->num_partitions();
   auto fold = [combine](ValueVec rows, Partition* out) -> Status {
     KeySlots slots;
@@ -1197,9 +1235,9 @@ Result<Dataset> Engine::ReduceByKey(const Dataset& in, CombineFn combine,
     }
     return Status::OK();
   };
-  MapSideFn map_side = [fold](const Partition& src, int) -> Result<Partition> {
+  MapSideFn map_side = [fold](Partition src, int) -> Result<Partition> {
     Partition combined;
-    SAC_RETURN_NOT_OK(fold(src, &combined));  // map-side combine
+    SAC_RETURN_NOT_OK(fold(std::move(src), &combined));  // map-side combine
     return combined;
   };
   ReduceSideFn reduce_side = [fold](ValueVec rows_a, ValueVec,
@@ -1208,15 +1246,12 @@ Result<Dataset> Engine::ReduceByKey(const Dataset& in, CombineFn combine,
   };
   return ShuffleOp(DatasetImpl::OpKind::kShuffle, "reduceByKey", {in},
                    num_partitions, std::move(map_side),
-                   std::move(reduce_side));
+                   std::move(reduce_side), std::move(pipe));
 }
 
-Result<Dataset> Engine::GroupByKey(const Dataset& in, int num_partitions) {
+Result<Dataset> Engine::GroupByKey(const Dataset& in, int num_partitions,
+                                   Pipeline pipe) {
   if (num_partitions <= 0) num_partitions = in->num_partitions();
-  MapSideFn map_side = [](const Partition& src, int) -> Result<Partition> {
-    for (const Value& row : src) SAC_RETURN_NOT_OK(ExpectPair(row));
-    return src;  // every record is shuffled (no combining)
-  };
   ReduceSideFn reduce_side = [](ValueVec rows_a, ValueVec, Partition* out) {
     KeySlots slots;
     std::vector<ValueVec> groups;
@@ -1233,34 +1268,25 @@ Result<Dataset> Engine::GroupByKey(const Dataset& in, int num_partitions) {
     return Status::OK();
   };
   return ShuffleOp(DatasetImpl::OpKind::kShuffle, "groupByKey", {in},
-                   num_partitions, std::move(map_side),
-                   std::move(reduce_side));
+                   num_partitions, CheckPairs, std::move(reduce_side),
+                   std::move(pipe));
 }
 
 Result<Dataset> Engine::PartitionBy(const Dataset& in, int num_partitions) {
   if (num_partitions <= 0) num_partitions = in->num_partitions();
-  MapSideFn map_side = [](const Partition& src, int) -> Result<Partition> {
-    for (const Value& row : src) SAC_RETURN_NOT_OK(ExpectPair(row));
-    return src;
-  };
   ReduceSideFn reduce_side = [](ValueVec rows_a, ValueVec, Partition* out) {
     *out = std::move(rows_a);
     return Status::OK();
   };
   return ShuffleOp(DatasetImpl::OpKind::kShuffle, "partitionBy", {in},
-                   num_partitions, std::move(map_side),
-                   std::move(reduce_side));
+                   num_partitions, CheckPairs, std::move(reduce_side), {});
 }
 
 Result<Dataset> Engine::Join(const Dataset& a, const Dataset& b,
-                             int num_partitions) {
+                             int num_partitions, Pipeline pipe) {
   if (num_partitions <= 0) {
     num_partitions = std::max(a->num_partitions(), b->num_partitions());
   }
-  MapSideFn map_side = [](const Partition& src, int) -> Result<Partition> {
-    for (const Value& row : src) SAC_RETURN_NOT_OK(ExpectPair(row));
-    return src;
-  };
   ReduceSideFn reduce_side = [](ValueVec rows_a, ValueVec rows_b,
                                 Partition* out) {
     // Build hash of B values per key (insertion order), then stream A.
@@ -1276,19 +1302,15 @@ Result<Dataset> Engine::Join(const Dataset& a, const Dataset& b,
     return Status::OK();
   };
   return ShuffleOp(DatasetImpl::OpKind::kCoShuffle, "join", {a, b},
-                   num_partitions, std::move(map_side),
-                   std::move(reduce_side));
+                   num_partitions, CheckPairs, std::move(reduce_side),
+                   std::move(pipe));
 }
 
 Result<Dataset> Engine::CoGroup(const Dataset& a, const Dataset& b,
-                                int num_partitions) {
+                                int num_partitions, Pipeline pipe) {
   if (num_partitions <= 0) {
     num_partitions = std::max(a->num_partitions(), b->num_partitions());
   }
-  MapSideFn map_side = [](const Partition& src, int) -> Result<Partition> {
-    for (const Value& row : src) SAC_RETURN_NOT_OK(ExpectPair(row));
-    return src;
-  };
   ReduceSideFn reduce_side = [](ValueVec rows_a, ValueVec rows_b,
                                 Partition* out) {
     KeySlots slots;
@@ -1314,8 +1336,8 @@ Result<Dataset> Engine::CoGroup(const Dataset& a, const Dataset& b,
     return Status::OK();
   };
   return ShuffleOp(DatasetImpl::OpKind::kCoShuffle, "cogroup", {a, b},
-                   num_partitions, std::move(map_side),
-                   std::move(reduce_side));
+                   num_partitions, CheckPairs, std::move(reduce_side),
+                   std::move(pipe));
 }
 
 Result<ValueVec> Engine::Collect(const Dataset& in) {

@@ -18,6 +18,11 @@
 //  * reduceByKey performs map-side combining before the shuffle, exactly
 //    the property Section 4 of the paper relies on when preferring it over
 //    groupByKey.
+//  * Narrow steps feeding or following a shuffle can be pipelined into
+//    its shuffle-write and reduce tasks (Pipeline), as Spark pipelines
+//    them into its stages: their rows never become datasets, so only
+//    sources, shuffle outputs and standalone narrow operators'
+//    outputs are materialized.
 //  * Datasets are evaluated eagerly but record their lineage. Recovery is
 //    a real subsystem (DESIGN.md section 9, docs/FAULT_MODEL.md): a seeded
 //    FaultPlan (SAC_FAULT_PLAN) can kill any task attempt at named points;
@@ -252,6 +257,25 @@ using PredFn = std::function<bool(const Value&)>;
 using CombineFn = std::function<Value(const Value&, const Value&)>;
 using PartitionFn = std::function<Status(const Partition&, Partition*)>;
 
+/// The row loops Map and FlatMap run, as partition functions -- the form a
+/// narrow step takes when it is pipelined into a shuffle (see Pipeline).
+PartitionFn MapRows(MapFn fn);
+PartitionFn FlatMapRows(FlatMapFn fn);
+
+/// Narrow steps pipelined into a wide operator, as Spark pipelines the
+/// map/flatMap steps around a shuffle into its stages (DESIGN.md section
+/// 8). `pre[p]` rewrites parent p's pinned partition inside its
+/// shuffle-write task, before map-side combining and bucketing, so its
+/// rows are the rows the shuffle moves; `post` rewrites each folded
+/// partition inside its reduce task, before publication. An empty
+/// function is the identity. Neither step's rows become a dataset of
+/// their own: they are never published, charged or spilled, and lineage
+/// recovery replays them with the shuffle.
+struct Pipeline {
+  std::vector<PartitionFn> pre;  // by parent index; missing = identity
+  PartitionFn post;
+};
+
 class Engine {
  public:
   /// ClusterConfig carries the retry/checkpoint policy too; `Config` is
@@ -421,26 +445,28 @@ class Engine {
   Result<Dataset> Union(const Dataset& a, const Dataset& b);
 
   // ---- Wide (shuffling) transformations ------------------------------
-  // All of these expect rows shaped as pairs (key, value).
+  // All of these expect rows shaped as pairs (key, value) -- after the
+  // pipelined pre steps, when `pipe` has any.
 
   /// Spark's reduceByKey(combine): map-side combine per partition, hash
   /// shuffle of the partial aggregates, reduce-side fold in deterministic
   /// order. `combine` must be associative.
   Result<Dataset> ReduceByKey(const Dataset& in, CombineFn combine,
-                              int num_partitions = -1);
+                              int num_partitions = -1, Pipeline pipe = {});
 
   /// Spark's groupByKey: shuffles every record; output rows are
   /// (key, List[v]) with values in (source partition, row) order.
-  Result<Dataset> GroupByKey(const Dataset& in, int num_partitions = -1);
+  Result<Dataset> GroupByKey(const Dataset& in, int num_partitions = -1,
+                             Pipeline pipe = {});
 
   /// Inner join: output rows (key, (v, w)) for every matching pair.
   Result<Dataset> Join(const Dataset& a, const Dataset& b,
-                       int num_partitions = -1);
+                       int num_partitions = -1, Pipeline pipe = {});
 
   /// CoGroup: output rows (key, (List[v], List[w])) for keys present in
   /// either input.
   Result<Dataset> CoGroup(const Dataset& a, const Dataset& b,
-                          int num_partitions = -1);
+                          int num_partitions = -1, Pipeline pipe = {});
 
   /// Hash-repartition by key without aggregation.
   Result<Dataset> PartitionBy(const Dataset& in, int num_partitions = -1);
@@ -482,7 +508,7 @@ class Engine {
  private:
   // Map-side transform applied per source partition before routing (e.g.
   // the local combine of reduceByKey); the int selects the parent (0/1).
-  using MapSideFn = std::function<Result<Partition>(const Partition&, int)>;
+  using MapSideFn = std::function<Result<Partition>(Partition, int)>;
   // Builds one output partition from the deserialized rows of each parent,
   // concatenated in source-partition order (rows_b empty for one parent).
   using ReduceSideFn =
@@ -522,14 +548,18 @@ class Engine {
     }
   }
 
-  /// Creates, executes and wires up a wide (shuffling) operator.
+  /// Creates, executes and wires up a wide (shuffling) operator, with
+  /// `pipe`'s narrow steps run inside its tasks (empty = none).
   Result<Dataset> ShuffleOp(DatasetImpl::OpKind kind, const std::string& label,
                             std::vector<Dataset> parents, int num_partitions,
-                            MapSideFn map_side, ReduceSideFn reduce_side);
+                            MapSideFn map_side, ReduceSideFn reduce_side,
+                            Pipeline pipe);
 
   /// Runs the shuffle for `ds`; only_dest >= 0 restricts to one output
-  /// partition (lineage recovery), -1 computes all of them.
-  Status ExecuteShuffle(DatasetImpl* ds, const MapSideFn& map_side,
+  /// partition (lineage recovery), -1 computes all of them. `pre` holds
+  /// the pipelined per-parent steps (Pipeline::pre).
+  Status ExecuteShuffle(DatasetImpl* ds, const std::vector<PartitionFn>& pre,
+                        const MapSideFn& map_side,
                         const ReduceSideFn& reduce_side, int only_dest);
 
   /// One attempt of a partition task. `attempt` is 1-based; the body must

@@ -214,39 +214,33 @@ Result<TiledMatrix> TiledFromCoo(Engine* eng, const CooMatrix& coo,
   SAC_RETURN_NOT_OK(CheckDims(coo.rows, coo.cols, block));
   TiledMatrix m{coo.rows, coo.cols, block, nullptr};
   // Key every element by its tile coordinate (the paper's tiled builder),
-  // shuffle with groupByKey, then assemble dense tiles.
-  SAC_ASSIGN_OR_RETURN(
-      Dataset keyed,
-      eng->Map(
-          coo.entries,
-          [block](const Value& row) {
-            const int64_t i = row.At(0).At(0).AsInt();
-            const int64_t j = row.At(0).At(1).AsInt();
-            return VPair(runtime::VIdx2(i / block, j / block),
-                         VPair(runtime::VIdx2(i % block, j % block),
-                               row.At(1)));
-          },
-          "keyByTile"));
-  SAC_ASSIGN_OR_RETURN(Dataset grouped, eng->GroupByKey(keyed));
+  // shuffle with groupByKey, then assemble dense tiles -- keying inside
+  // the groupByKey's map-side tasks, assembly inside its reduce tasks.
+  const runtime::PartitionFn key_by_tile =
+      runtime::MapRows([block](const Value& row) {
+        const int64_t i = row.At(0).At(0).AsInt();
+        const int64_t j = row.At(0).At(1).AsInt();
+        return VPair(runtime::VIdx2(i / block, j / block),
+                     VPair(runtime::VIdx2(i % block, j % block), row.At(1)));
+      });
   const TiledMatrix dims = m;
+  const runtime::PartitionFn build_tiles =
+      runtime::MapRows([dims](const Value& row) {
+        const int64_t ii = row.At(0).At(0).AsInt();
+        const int64_t jj = row.At(0).At(1).AsInt();
+        la::Tile t(dims.tile_rows(ii), dims.tile_cols(jj));
+        for (const Value& kv : row.At(1).AsList()) {
+          const int64_t di = kv.At(0).At(0).AsInt();
+          const int64_t dj = kv.At(0).At(1).AsInt();
+          if (di >= 0 && di < t.rows() && dj >= 0 && dj < t.cols()) {
+            t.Set(di, dj, kv.At(1).AsDouble());
+          }
+        }
+        return VPair(row.At(0), Value::TileVal(std::move(t)));
+      });
   SAC_ASSIGN_OR_RETURN(
       m.tiles,
-      eng->Map(
-          grouped,
-          [dims](const Value& row) {
-            const int64_t ii = row.At(0).At(0).AsInt();
-            const int64_t jj = row.At(0).At(1).AsInt();
-            la::Tile t(dims.tile_rows(ii), dims.tile_cols(jj));
-            for (const Value& kv : row.At(1).AsList()) {
-              const int64_t di = kv.At(0).At(0).AsInt();
-              const int64_t dj = kv.At(0).At(1).AsInt();
-              if (di >= 0 && di < t.rows() && dj >= 0 && dj < t.cols()) {
-                t.Set(di, dj, kv.At(1).AsDouble());
-              }
-            }
-            return VPair(row.At(0), Value::TileVal(std::move(t)));
-          },
-          "buildTiles"));
+      eng->GroupByKey(coo.entries, -1, {{key_by_tile}, build_tiles}));
   return m;
 }
 

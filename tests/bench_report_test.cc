@@ -6,6 +6,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -80,6 +81,25 @@ TEST(BenchReportTest, WritesParsableJsonWithPerStageShuffle) {
   ASSERT_TRUE(testjson::ParseJson(ReadFile(trace_path), &trace_doc));
   ASSERT_TRUE(trace_doc.At("traceEvents").is_array());
   EXPECT_FALSE(trace_doc.At("traceEvents").array.empty());
+}
+
+TEST(BenchReportTest, HostCpusFollowsTheAffinityMask) {
+  cpu_set_t mask;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(mask), &mask), 0);
+  EXPECT_EQ(HostCpus(), CPU_COUNT(&mask));
+  // A thread pinned to one CPU -- what `taskset -c N` does to a whole
+  // process -- must report one, whatever hardware_concurrency() says.
+  int first = 0;
+  while (!CPU_ISSET(first, &mask)) ++first;
+  int pinned = -1;
+  std::thread t([&] {
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(first, &one);
+    if (sched_setaffinity(0, sizeof(one), &one) == 0) pinned = HostCpus();
+  });
+  t.join();
+  EXPECT_EQ(pinned, 1);
 }
 
 }  // namespace
